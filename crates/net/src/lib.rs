@@ -13,6 +13,8 @@
 //!   conservative lookahead (window = the topology's
 //!   [`Topology::min_latency`]), with the *same seed producing the same
 //!   execution at any shard count*.
+//! - [`EventQueue`]: the key-ordered event queue both engines run on; its
+//!   heap sifts small `(key, slot)` entries while payloads stay put.
 //! - [`Topology`] implementations supplying the scalar *proximity metric*
 //!   that Pastry's locality heuristics depend on, and per-message latency:
 //!   [`EuclideanTopology`], [`ClusteredTopology`] (the eight-site NLANR
@@ -26,6 +28,7 @@
 mod addr;
 mod fault;
 mod proto;
+mod queue;
 mod shard;
 mod sharded;
 mod sim;
@@ -35,6 +38,7 @@ mod topology;
 pub use addr::Addr;
 pub use fault::{ByzantineBehavior, FaultPlan, NodeFault, Partition};
 pub use proto::{Ctx, NetStats, Protocol};
+pub use queue::EventQueue;
 pub use sharded::ShardedSim;
 pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

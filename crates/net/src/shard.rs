@@ -20,8 +20,6 @@
 //! ordered by the key above), jitter from the *source* node's stream
 //! (outputs are ordered by `source_seq`).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -30,6 +28,7 @@ use rand::{Rng, SeedableRng};
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -62,27 +61,12 @@ pub(crate) struct ShardEvent<M> {
     pub(crate) kind: ShardEventKind<M>,
 }
 
-impl<M> ShardEvent<M> {
-    fn key(&self) -> (SimTime, SimTime, u32, u64) {
-        (self.at, self.sent, self.src.0, self.sseq)
-    }
-}
+/// The shard-invariant event order: `(arrival, sent, source, source_seq)`.
+type ShardKey = (SimTime, SimTime, u32, u64);
 
-impl<M> PartialEq for ShardEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for ShardEvent<M> {}
-impl<M> PartialOrd for ShardEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for ShardEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other.key().cmp(&self.key())
+impl<M> ShardEvent<M> {
+    fn key(&self) -> ShardKey {
+        (self.at, self.sent, self.src.0, self.sseq)
     }
 }
 
@@ -103,7 +87,7 @@ pub(crate) struct ShardCore<P: Protocol> {
     shards: usize,
     /// Slots indexed by `addr.index() / shards`.
     slots: Vec<Option<ShardSlot<P>>>,
-    heap: BinaryHeap<ShardEvent<P::Msg>>,
+    heap: EventQueue<ShardKey, ShardEventKind<P::Msg>>,
     topology: Arc<dyn Topology>,
     master_seed: u64,
     time: SimTime,
@@ -136,7 +120,7 @@ impl<P: Protocol> ShardCore<P> {
             shard_id,
             shards,
             slots: Vec::new(),
-            heap: BinaryHeap::with_capacity(256),
+            heap: EventQueue::with_capacity(256),
             topology,
             master_seed,
             time: SimTime::ZERO,
@@ -309,14 +293,14 @@ impl<P: Protocol> ShardCore<P> {
                 ShardEventKind::Deliver { dst, .. } => *dst,
                 ShardEventKind::Timer { node, .. } => *node,
             }));
-            self.heap.push(e);
+            self.heap.push(e.key(), e.kind);
         }
         self.stats.queue_peak = self.stats.queue_peak.max(self.heap.len() as u64);
     }
 
     /// The earliest pending timestamp on this shard (event or fault).
     pub(crate) fn next_ts(&self) -> Option<SimTime> {
-        let e = self.heap.peek().map(|e| e.at);
+        let e = self.heap.peek_key().map(|(at, ..)| at);
         let f = self.next_fault_at();
         match (e, f) {
             (Some(e), Some(f)) => Some(e.min(f)),
@@ -351,7 +335,7 @@ impl<P: Protocol> ShardCore<P> {
 
     fn run_window_inner(&mut self, end: SimTime) {
         loop {
-            let next_event = self.heap.peek().map(|e| e.at);
+            let next_event = self.heap.peek_key().map(|(at, ..)| at);
             let next_fault = self.next_fault_at();
             // Fault-before-event on ties, exactly like the legacy engine.
             let fault_first = match (next_fault, next_event) {
@@ -402,14 +386,14 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     fn step_event(&mut self) {
-        let event = match self.heap.pop() {
+        let ((at, ..), kind) = match self.heap.pop() {
             Some(e) => e,
             None => return,
         };
-        debug_assert!(event.at >= self.time, "time must be monotonic");
-        self.time = event.at;
+        debug_assert!(at >= self.time, "time must be monotonic");
+        self.time = at;
         self.stats.events += 1;
-        match event.kind {
+        match kind {
             ShardEventKind::Deliver { src, dst, msg } => {
                 if self.fault_plan.severed(self.time, src, dst) {
                     self.stats.dropped += 1;
@@ -467,35 +451,31 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Runs a handler against a node and flushes its outputs; own-shard
-    /// arrivals go to the heap, cross-shard arrivals to the outboxes.
+    /// Runs a handler against a node, in place in its slot, and flushes
+    /// its outputs; own-shard arrivals go to the heap, cross-shard
+    /// arrivals to the outboxes.
     pub(crate) fn dispatch<F>(&mut self, addr: Addr, at: SimTime, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
         let li = self.local_index(addr);
         // Materialize the slot so its RNG exists even for a first-ever
-        // touch, then run the handler against the taken-out protocol.
+        // touch, then run the handler against the protocol in place.
         self.slot_mut(addr);
         let slot = self.slots[li].as_mut().expect("slot just materialized");
-        let mut proto = match slot.proto.take() {
-            Some(p) => p,
-            None => return,
+        let Some(proto) = slot.proto.as_mut() else {
+            return;
         };
-        let mut out = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: at,
-                self_addr: addr,
-                topology: &*self.topology,
-                rng: &mut slot.rng,
-                out: &mut out,
-            };
-            f(&mut proto, &mut ctx);
-        }
-        slot.proto = Some(proto);
+        let mut ctx = Ctx {
+            now: at,
+            self_addr: addr,
+            topology: &*self.topology,
+            rng: &mut slot.rng,
+            out: &mut self.scratch,
+        };
+        f(proto, &mut ctx);
         let jitter_max = self.fault_plan.jitter_max().micros();
-        for output in out.drain(..) {
+        for output in self.scratch.drain(..) {
             let slot = self.slots[li].as_mut().expect("slot exists");
             match output {
                 Output::Send { dst, msg } => {
@@ -525,20 +505,17 @@ impl<P: Protocol> ShardCore<P> {
                     };
                     let dst_shard = dst.index() % self.shards;
                     if dst_shard == self.shard_id {
-                        self.heap.push(ev);
+                        self.heap.push(ev.key(), ev.kind);
                     } else {
                         self.outboxes[dst_shard].push(ev);
                     }
                 }
                 Output::Timer { delay, token } => {
                     slot.oseq += 1;
-                    self.heap.push(ShardEvent {
-                        at: at + delay,
-                        sent: at,
-                        src: addr,
-                        sseq: slot.oseq,
-                        kind: ShardEventKind::Timer { node: addr, token },
-                    });
+                    self.heap.push(
+                        (at + delay, at, addr.0, slot.oseq),
+                        ShardEventKind::Timer { node: addr, token },
+                    );
                 }
                 Output::Upcall(u) => {
                     slot.oseq += 1;
@@ -546,7 +523,6 @@ impl<P: Protocol> ShardCore<P> {
                 }
             }
         }
-        self.scratch = out;
         self.stats.queue_peak = self.stats.queue_peak.max(self.heap.len() as u64);
     }
 }

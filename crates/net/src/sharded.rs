@@ -688,6 +688,26 @@ mod tests {
     }
 
     #[test]
+    fn handler_state_persists_and_removed_nodes_drop_events() {
+        for &shards in &[1usize, 2] {
+            let mut sim = build(16, shards, Some(0));
+            let removed = sim.remove_node(Addr(3)).expect("node 3 exists");
+            sim.run_until_idle();
+            assert!(sim.node(Addr(3)).is_none());
+            let total: u64 = (0..16)
+                .filter_map(|a| sim.node(Addr(a)))
+                .map(|g| g.pongs)
+                .sum();
+            assert!(total > 1, "pong counts accumulate across deliveries");
+            assert!(
+                sim.stats().dropped > 0,
+                "events for the removed node were dropped"
+            );
+            assert_eq!(removed.pongs, 0);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "positive min_latency")]
     fn zero_latency_topology_rejected() {
         struct Instant(usize);

@@ -3,16 +3,17 @@
 //! The paper's prototype ran up to 2250 PAST nodes inside a single Java VM
 //! communicating through a network emulation layer. This module is the
 //! Rust equivalent: every node is a deterministic state machine driven by
-//! delivered messages and timers; an event queue orders all activity by
+//! delivered messages and timers; an [`EventQueue`] orders all activity by
 //! simulated time with a strict total order (time, then sequence number),
 //! so any experiment is exactly reproducible from its seed.
+//!
+//! On the per-event path a message is moved only into and out of the
+//! queue's slab: the heap sifts 24-byte `(key, slot)` entries, and a
+//! handler runs against the node state where it lives in its slot.
 //!
 //! The protocol surface ([`Protocol`], [`Ctx`], [`NetStats`]) lives in
 //! [`crate::proto`], shared with the multi-core [`crate::ShardedSim`]
 //! engine; this file is the reference engine both are measured against.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,6 +21,7 @@ use rand::{Rng, SeedableRng};
 use crate::addr::Addr;
 use crate::fault::{FaultPlan, NodeFault};
 use crate::proto::{Ctx, NetStats, Output, Protocol};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 
@@ -29,32 +31,8 @@ enum EventKind<M> {
     Timer { node: Addr, token: u64 },
 }
 
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// The single engine's event order: arrival time, then enqueue sequence.
+pub(crate) type EventKey = (SimTime, u64);
 
 struct NodeSlot<P> {
     proto: Option<P>,
@@ -91,7 +69,7 @@ struct NodeSlot<P> {
 /// ```
 pub struct Simulator<P: Protocol> {
     nodes: Vec<NodeSlot<P>>,
-    queue: BinaryHeap<Event<P::Msg>>,
+    queue: EventQueue<EventKey, EventKind<P::Msg>>,
     topology: Box<dyn Topology>,
     time: SimTime,
     seq: u64,
@@ -110,7 +88,7 @@ impl<P: Protocol> Simulator<P> {
     pub fn new(topology: Box<dyn Topology>, seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
-            queue: BinaryHeap::with_capacity(1024),
+            queue: EventQueue::with_capacity(1024),
             topology,
             time: SimTime::ZERO,
             seq: 0,
@@ -127,8 +105,8 @@ impl<P: Protocol> Simulator<P> {
 
     /// Pre-sizes the event queue and upcall buffer. Large experiments
     /// keep hundreds of thousands of in-flight events; reserving up
-    /// front avoids the doubling reallocations (and copies of every
-    /// queued message) on the way there.
+    /// front avoids the doubling reallocations of the queue's key heap
+    /// and payload slab (and of the upcall buffer) on the way there.
     pub fn reserve_capacity(&mut self, events: usize, upcalls: usize) {
         self.queue.reserve(events.saturating_sub(self.queue.len()));
         self.upcalls
@@ -305,8 +283,8 @@ impl<P: Protocol> Simulator<P> {
         // fault at the same instant as a delivery applies first, so a
         // message to a node crashing "now" is dropped.
         while let Some(fault_at) = self.next_fault_at() {
-            match self.queue.peek() {
-                Some(e) if e.at < fault_at => break,
+            match self.queue.peek_key() {
+                Some((at, _)) if at < fault_at => break,
                 Some(_) => self.apply_next_fault(),
                 None => {
                     self.apply_next_fault();
@@ -326,7 +304,7 @@ impl<P: Protocol> Simulator<P> {
     /// and faults at exactly `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            let next_event = self.queue.peek().map(|e| e.at);
+            let next_event = self.queue.peek_key().map(|(at, _)| at);
             let next_fault = self.next_fault_at();
             let fault_first = match (next_fault, next_event) {
                 (Some(f), Some(e)) => f <= e,
@@ -390,14 +368,14 @@ impl<P: Protocol> Simulator<P> {
 
     /// Pops and processes one queued event (no fault handling).
     fn step_event(&mut self) -> bool {
-        let event = match self.queue.pop() {
+        let ((at, _), kind) = match self.queue.pop() {
             Some(e) => e,
             None => return false,
         };
-        debug_assert!(event.at >= self.time, "time must be monotonic");
-        self.time = event.at;
+        debug_assert!(at >= self.time, "time must be monotonic");
+        self.time = at;
         self.stats.events += 1;
-        match event.kind {
+        match kind {
             EventKind::Deliver { src, dst, msg } => {
                 if self.fault_plan.severed(self.time, src, dst) {
                     self.stats.dropped += 1;
@@ -442,31 +420,28 @@ impl<P: Protocol> Simulator<P> {
         self.queue.len()
     }
 
+    /// Runs a handler against the node at `addr`, in place in its slot,
+    /// and flushes the sends, timers and upcalls it produced.
     fn dispatch<F>(&mut self, addr: Addr, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P::Msg, P::Upcall>),
     {
-        let mut proto = match self
+        let Some(proto) = self
             .nodes
             .get_mut(addr.index())
-            .and_then(|s| s.proto.take())
-        {
-            Some(p) => p,
-            None => return,
+            .and_then(|s| s.proto.as_mut())
+        else {
+            return;
         };
-        let mut out = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                self_addr: addr,
-                topology: &*self.topology,
-                rng: &mut self.rng,
-                out: &mut out,
-            };
-            f(&mut proto, &mut ctx);
-        }
-        self.nodes[addr.index()].proto = Some(proto);
-        for output in out.drain(..) {
+        let mut ctx = Ctx {
+            now: self.time,
+            self_addr: addr,
+            topology: &*self.topology,
+            rng: &mut self.rng,
+            out: &mut self.scratch,
+        };
+        f(proto, &mut ctx);
+        for output in self.scratch.drain(..) {
             match output {
                 Output::Send { dst, msg } => {
                     let mut latency = self.topology.latency(addr, dst);
@@ -481,30 +456,27 @@ impl<P: Protocol> Simulator<P> {
                         past_obs::observe("net.transit_us", latency.micros());
                     }
                     self.seq += 1;
-                    self.queue.push(Event {
-                        at: self.time + latency,
-                        seq: self.seq,
-                        kind: EventKind::Deliver {
+                    self.queue.push(
+                        (self.time + latency, self.seq),
+                        EventKind::Deliver {
                             src: addr,
                             dst,
                             msg,
                         },
-                    });
+                    );
                 }
                 Output::Timer { delay, token } => {
                     self.seq += 1;
-                    self.queue.push(Event {
-                        at: self.time + delay,
-                        seq: self.seq,
-                        kind: EventKind::Timer { node: addr, token },
-                    });
+                    self.queue.push(
+                        (self.time + delay, self.seq),
+                        EventKind::Timer { node: addr, token },
+                    );
                 }
                 Output::Upcall(u) => {
                     self.upcalls.push((self.time, addr, u));
                 }
             }
         }
-        self.scratch = out;
         self.stats.queue_peak = self.stats.queue_peak.max(self.queue.len() as u64);
     }
 }
@@ -679,6 +651,41 @@ mod tests {
         assert_eq!(state.pings_seen, 0);
         assert!(!sim.is_up(Addr(0)));
         assert!(sim.remove_node(Addr(0)).is_none());
+    }
+
+    #[test]
+    fn handler_state_persists_across_events() {
+        let mut sim = sim2();
+        for token in 0..3 {
+            sim.invoke(Addr(1), move |_p, ctx| {
+                ctx.set_timer(SimDuration::from_millis(token + 1), token)
+            });
+        }
+        for _ in 0..4 {
+            sim.invoke(Addr(0), |_p, ctx| ctx.send(Addr(1), Msg::Ping));
+        }
+        sim.run_until_idle();
+        let node = sim.node(Addr(1)).unwrap();
+        assert_eq!(
+            node.pings_seen, 4,
+            "every delivery sees the previous one's count"
+        );
+        assert_eq!(node.timer_tokens, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn events_for_a_removed_node_are_dropped() {
+        let mut sim = sim2();
+        sim.invoke(Addr(1), |_p, ctx| {
+            ctx.set_timer(SimDuration::from_millis(1), 5)
+        });
+        sim.invoke(Addr(0), |_p, ctx| ctx.send(Addr(1), Msg::Ping));
+        let removed = sim.remove_node(Addr(1)).unwrap();
+        assert!(removed.timer_tokens.is_empty());
+        sim.run_until_idle();
+        assert!(sim.node(Addr(1)).is_none());
+        let stats = sim.stats();
+        assert_eq!((stats.events, stats.dropped, stats.timers_fired), (2, 1, 0));
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl LeafSet {
     /// Inserts a node, evicting the farthest member of its side when full.
     /// Returns `true` if the set changed.
     pub fn insert(&mut self, entry: NodeEntry) -> bool {
-        if entry.id == self.own || self.contains(entry.id) {
+        if entry.id == self.own {
             return false;
         }
         let own = self.own;
@@ -83,15 +83,20 @@ impl LeafSet {
         }
     }
 
+    /// Inserts `entry` into one side, kept sorted by `dist` from `own`.
+    /// This is the only writer of either side, and `dist` is injective,
+    /// so an exact hit of the binary search means `entry.id` is already
+    /// a member: no separate membership scan is needed.
     fn insert_side(
         side: &mut Vec<NodeEntry>,
         entry: NodeEntry,
         half: usize,
         dist: impl Fn(NodeId) -> u128,
     ) -> bool {
-        let pos = side
-            .binary_search_by(|e| dist(e.id).cmp(&dist(entry.id)))
-            .unwrap_or_else(|p| p);
+        let d = dist(entry.id);
+        let Err(pos) = side.binary_search_by(|e| dist(e.id).cmp(&d)) else {
+            return false;
+        };
         if pos >= half {
             return false;
         }
@@ -319,7 +324,60 @@ mod tests {
         assert!(!ls.is_among_k_closest(NodeId::from_u128(121), 3, Addr(100)));
     }
 
+    /// The insert algorithm before the membership scan was folded into
+    /// the binary search: scan both sides, then place by distance.
+    fn reference_insert(ls: &mut LeafSet, entry: NodeEntry) -> bool {
+        if entry.id == ls.own || ls.members().any(|e| e.id == entry.id) {
+            return false;
+        }
+        let (own, cw) = (ls.own, ls.is_cw(entry.id));
+        let dist = |id| {
+            if cw {
+                own.cw_distance(id)
+            } else {
+                own.ccw_distance(id)
+            }
+        };
+        let side = if cw { &mut ls.larger } else { &mut ls.smaller };
+        let pos = side
+            .binary_search_by(|e| dist(e.id).cmp(&dist(entry.id)))
+            .unwrap_or_else(|p| p);
+        if pos >= ls.half {
+            return false;
+        }
+        side.insert(pos, entry);
+        side.truncate(ls.half);
+        true
+    }
+
     proptest! {
+        /// Random insert/remove sequences over a small id pool (so
+        /// duplicates, re-inserts and evictions are common, on both
+        /// sides and across the wrap point) leave the set and every
+        /// return value exactly as the reference algorithm does.
+        #[test]
+        fn prop_insert_matches_reference(
+            own in 0u128..16,
+            half in 1usize..5,
+            ops in prop::collection::vec((0u8..4, 0u128..32), 0..200),
+        ) {
+            // Ids straddle zero so both sides see wraparound.
+            let id = |v: u128| v.wrapping_sub(16);
+            let own = NodeId::from_u128(id(own));
+            let mut fast = LeafSet::new(own, half);
+            let mut reference = LeafSet::new(own, half);
+            for (op, v) in ops {
+                let e = entry(id(v));
+                if op < 3 {
+                    prop_assert_eq!(fast.insert(e), reference_insert(&mut reference, e));
+                } else {
+                    prop_assert_eq!(fast.remove(e.id), reference.remove(e.id));
+                }
+                prop_assert_eq!(&fast.smaller, &reference.smaller);
+                prop_assert_eq!(&fast.larger, &reference.larger);
+            }
+        }
+
         #[test]
         fn prop_sides_never_exceed_half(own: u128, ids: Vec<u128>, half in 1usize..8) {
             let mut ls = LeafSet::new(NodeId::from_u128(own), half);

@@ -29,6 +29,14 @@ cargo test -q --workspace --no-fail-fast --offline
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== pastbench (build, tests, clippy -D warnings)"
+# The benchmark is its own Cargo workspace with path dependencies on
+# crates/; gating it here makes an engine API change that breaks the
+# benchmark fail CI instead of the next benchmark run.
+cargo build --release --manifest-path pastbench/Cargo.toml --offline
+cargo test -q --manifest-path pastbench/Cargo.toml --offline
+cargo clippy --all-targets --manifest-path pastbench/Cargo.toml --offline -- -D warnings
+
 echo "== perf smoke (perf_suite, reduced scale)"
 # End-to-end run of the perf bench at a scale that finishes in seconds;
 # guards the hot path and the hand-rolled JSON writer. Artifacts go to
